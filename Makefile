@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke serve-smoke fabric-smoke clean
+.PHONY: all build test race vet lint bench bench-smoke bench-e2e serve-smoke fabric-smoke clean
 
 all: build test
 
@@ -35,7 +35,7 @@ lint:
 # Search & model benchmarks with allocation stats, appended to the JSON
 # history in BENCH_mapper.json keyed by git SHA + date (see cmd/benchjson).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMapperSearch|BenchmarkModelThroughput|BenchmarkNetworkEval|BenchmarkGenerateOnly|BenchmarkServe|BenchmarkScoreBatch|BenchmarkFabric|BenchmarkTransformer' \
+	$(GO) test -run '^$$' -bench 'BenchmarkMapperSearch|BenchmarkMapperSearchEnergy|BenchmarkMapperSearchEDP|BenchmarkModelThroughput|BenchmarkNetworkEval|BenchmarkGenerateOnly|BenchmarkServe|BenchmarkScoreBatch|BenchmarkFabric|BenchmarkTransformer' \
 		-benchmem -benchtime=2s . ./internal/mapper ./internal/serve ./internal/fabric | tee /dev/stderr | $(GO) run ./cmd/benchjson -compare BENCH_mapper.json -out BENCH_mapper.json
 
 # Two passes. First, one iteration of every benchmark in the repo (the
@@ -53,8 +53,19 @@ bench:
 # written by either pass.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./... | $(GO) run ./cmd/benchjson -compare BENCH_mapper.json > /dev/null
-	$(GO) test -run '^$$' -bench '^(BenchmarkMapperSearch|BenchmarkModelThroughput|BenchmarkScoreBatch)$$' -benchmem -benchtime=0.5s . \
+	$(GO) test -run '^$$' -bench '^(BenchmarkMapperSearch|BenchmarkMapperSearchEnergy|BenchmarkMapperSearchEDP|BenchmarkModelThroughput|BenchmarkScoreBatch)$$' -benchmem -benchtime=0.5s . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_mapper.json -threshold 400 > /dev/null
+
+# The end-to-end servemodel benchmark, once per workload BENCHMARK.json
+# names, printing each run's end-to-end metrics. It only calls
+# e2ebench/run.sh (which builds into .bench_build/); see e2ebench/README.md.
+BENCH_WORKLOADS = $(shell awk '/"workloads"/{w=1} w&&/"name"/{gsub(/[",]/,"",$$2); print $$2} w&&/^  \]/{exit}' BENCHMARK.json)
+
+bench-e2e:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "== $$w"; \
+		bash e2ebench/run.sh --workload $$w --trace 0 || exit 1; \
+	done
 
 # Black-box smoke test of the HTTP daemon: build cmd/servemodel, serve on a
 # loopback port, run a search + cache-hit + malformed-request sequence over

@@ -374,6 +374,32 @@ func BenchmarkMapperSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkMapperSearchEnergy is BenchmarkMapperSearch under the energy
+// objective: Step 1 and the energy pricing per candidate, no Steps 2–3.
+func BenchmarkMapperSearchEnergy(b *testing.B) {
+	benchObjectiveSearch(b, mapper.MinEnergy)
+}
+
+// BenchmarkMapperSearchEDP is BenchmarkMapperSearch under the energy-delay
+// objective: the E·LB prune ahead of Steps 2–3.
+func BenchmarkMapperSearchEDP(b *testing.B) {
+	benchObjectiveSearch(b, mapper.MinEDP)
+}
+
+func benchObjectiveSearch(b *testing.B, obj mapper.Objective) {
+	layer := workload.NewMatMul("search", 128, 128, 128)
+	hw := arch.CaseStudy()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := mapper.Best(context.Background(), &layer, hw, &mapper.Options{
+			Spatial: arch.CaseStudySpatial(), BWAware: true, MaxCandidates: 1000,
+			Objective: obj,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMapperSearchNoSurrogate is BenchmarkMapperSearch with the
 // surrogate-guided candidate ordering disabled — the canonical walk order,
 // for guided-vs-lexicographic speedup accounting (the result is

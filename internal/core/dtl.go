@@ -140,9 +140,6 @@ func (p *Problem) opts() ModelOptions {
 // latency model uses — e.g. the access-count-based energy model. The
 // returned endpoints are caller-owned (built in a throwaway Evaluator).
 func Endpoints(p *Problem) ([]*Endpoint, error) {
-	if p == nil || p.Layer == nil || p.Arch == nil || p.Mapping == nil {
-		return nil, fmt.Errorf("core: nil problem component")
-	}
 	var ev Evaluator
-	return ev.buildEndpoints(p)
+	return ev.Endpoints(p)
 }

@@ -151,6 +151,27 @@ func (ev *Evaluator) ScoreLatency(p *Problem) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return ev.ScoreEndpoints(p, eps), nil
+}
+
+// Endpoints runs Step 1 alone on the evaluator's scratch and warm Step-1
+// memo: the DTL endpoints of p, the same set the package-level Endpoints
+// returns, but aliasing the evaluator (see the type comment). A caller that
+// needs the endpoints for something else — energy pricing — builds them once
+// here and, only if it still wants the latency, finishes with
+// ScoreEndpoints.
+func (ev *Evaluator) Endpoints(p *Problem) ([]*Endpoint, error) {
+	if p == nil || p.Layer == nil || p.Arch == nil || p.Mapping == nil {
+		return nil, fmt.Errorf("core: nil problem component")
+	}
+	return ev.buildEndpoints(p)
+}
+
+// ScoreEndpoints runs Steps 2 and 3 on eps, which ev.Endpoints must have
+// just built for the same p, and returns ScoreLatency(p) bit for bit: it is
+// the second half of ScoreLatency, whose port combinations hit the
+// evaluator's warm combineCache.
+func (ev *Evaluator) ScoreEndpoints(p *Problem, eps []*Endpoint) float64 {
 	ss := ev.ssRaw(p, eps)
 	if ss < 0 {
 		ss = 0
@@ -158,7 +179,7 @@ func (ev *Evaluator) ScoreLatency(p *Problem) (float64, error) {
 	ccSpatial := p.Mapping.CCSpatial()
 	pre := ev.preloadCycles(p)
 	post := ev.offloadCycles(p)
-	return float64(ccSpatial) + ss + pre + post, nil
+	return float64(ccSpatial) + ss + pre + post
 }
 
 // LowerBound returns a cheap admissible lower bound on Evaluate(p).CCTotal:

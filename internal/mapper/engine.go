@@ -16,7 +16,9 @@ package mapper
 // already exceeds the best full evaluation seen so far cannot win and its
 // Step-1/2/3 evaluation is skipped. The shared best is a monotonically
 // decreasing atomic; pruning only on a STRICT bound excess keeps equal-
-// score candidates alive for the deterministic tie-break.
+// score candidates alive for the deterministic tie-break. The energy and
+// EDP objectives score on the same scratch (processEnergy): energy needs
+// Step 1 only, and EDP prunes on E·LB before Steps 2–3.
 //
 // The generator itself is symmetry- and bound-aware (DESIGN.md §9): it
 // canonicalizes every walked ordering by its model-equivalence signature and
@@ -40,6 +42,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/loops"
 	"repro/internal/mapping"
 	"repro/internal/obs"
@@ -106,8 +109,9 @@ type engine struct {
 	aborted atomic.Bool
 
 	// prune enables the workers' lower-bound branch-and-bound (modeBest,
-	// latency objective, full model only — for the baseline model the
-	// "bound" IS the score, and other objectives are not bounded by it).
+	// full model only — for the baseline model the "bound" IS the latency).
+	// The latency objective prunes on LB, EDP on E·LB (processEnergy);
+	// energy needs Step 1 only and has nothing cheaper to prune on.
 	prune bool
 	// genPrune enables the generator-side subtree prune (modeBest, latency
 	// objective, either model). Unlike the workers' prune it compares
@@ -170,9 +174,9 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 		return nil, nil, nil, fmt.Errorf("mapper: no spatial unrolling given")
 	}
 	e := &engine{ctx: ctx, l: l, a: a, o: o, mode: mode, shard: sh}
-	e.prune = mode == modeBest && !o.NoPrune && o.Objective == MinLatency && o.BWAware
+	e.prune = mode == modeBest && !o.NoPrune && o.Objective != MinEnergy && o.BWAware
 	e.genPrune = mode == modeBest && o.Objective == MinLatency
-	e.guided = e.prune && !o.NoSurrogate
+	e.guided = e.prune && o.Objective == MinLatency && !o.NoSurrogate
 	e.collectSeqs = sh != nil && !o.NoReduce
 	e.bestBits.Store(math.Float64bits(math.Inf(1)))
 	stats := &Stats{}
@@ -735,6 +739,7 @@ type workerScratch struct {
 	chains    [loops.NumOperands][]*arch.Memory
 	store     [loops.NumOperands][]int
 	ev        core.Evaluator
+	pr        energy.Pricer // energy and EDP objectives
 
 	// Batched-scoring slabs (structure of arrays over one jobBatch): each
 	// slot owns a Mapping with its own boundary storage so the surviving
@@ -970,9 +975,13 @@ func (w *worker) process(j job) {
 		return
 	}
 
-	if e.mode == modeAll || o.Objective == MinEnergy || o.Objective == MinEDP {
-		// Enumeration and energy objectives need the materialized result
-		// (diagnostics / energy) for every valid candidate anyway.
+	if o.Objective != MinLatency && e.mode == modeBest {
+		w.processEnergy(seq, nest)
+		return
+	}
+	if e.mode == modeAll {
+		// Enumeration returns the materialized result (diagnostics and
+		// energy) of every valid candidate anyway.
 		c := evaluate(e.l, e.a, o, nest)
 		if c == nil {
 			return
@@ -985,16 +994,7 @@ func (w *worker) process(j job) {
 			e.obsValid.Add(1)
 		}
 		s := c.Score(o.Objective)
-		if e.mode == modeAll {
-			w.all = append(w.all, scored{cand: c, score: s, key: c.Mapping.Temporal.String(), seq: seq})
-			return
-		}
-		if w.better(s, seq) {
-			w.best, w.bestScore, w.bestSeq = c, s, seq
-			if e.hooks != nil {
-				e.obsImproved(s, seq)
-			}
-		}
+		w.all = append(w.all, scored{cand: c, score: s, key: c.Mapping.Temporal.String(), seq: seq})
 		return
 	}
 
@@ -1031,6 +1031,61 @@ func (w *worker) process(j job) {
 	} else {
 		// The baseline model's CC_total IS the lower bound expression.
 		score = w.s.ev.LowerBound(&w.prob)
+	}
+	if w.better(score, seq) {
+		if c := evaluate(e.l, e.a, o, nest); c != nil {
+			w.best, w.bestScore, w.bestSeq = c, score, seq
+			if e.prune {
+				e.lowerBest(score)
+			}
+			if e.hooks != nil {
+				e.obsImproved(score, seq)
+			}
+		}
+	}
+}
+
+// processEnergy scores one validated nest for the energy and EDP objectives
+// on the worker's scratch. Step 1 runs once, on the pooled evaluator, and
+// the energy is priced straight from its endpoints — bit-identical to the
+// materialized Candidate.EnergyPJ, since energy.Evaluate runs the same
+// Pricer code. Energy needs nothing else; EDP first bounds E·LB against the
+// shared best (E >= 0 and LB <= CC_total, and IEEE multiplication by a
+// non-negative factor preserves order, so E·LB <= E·CC_total) and runs
+// Steps 2–3 only for survivors. Valid counts exactly what the materializing
+// path counted: every error the model can raise comes from Step 1, which
+// runs before any prune.
+func (w *worker) processEnergy(seq int64, nest loops.Nest) {
+	e := w.e
+	o := e.o
+	eps, err := w.s.ev.Endpoints(&w.prob)
+	if err != nil {
+		return
+	}
+	score, err := w.s.pr.Price(&w.prob, eps, o.EnergyTable)
+	if err != nil {
+		return
+	}
+	w.valid++
+	if e.collectSeqs {
+		w.vseqs = append(w.vseqs, seq)
+	}
+	if e.hooks != nil {
+		e.obsValid.Add(1)
+	}
+	if o.Objective == MinEDP {
+		if o.BWAware {
+			if e.prune && score*w.s.ev.LowerBound(&w.prob) > e.loadBest() {
+				w.pruned++
+				if e.hooks != nil {
+					e.obsPruned.Add(1)
+				}
+				return
+			}
+			score *= w.s.ev.ScoreEndpoints(&w.prob, eps)
+		} else {
+			score *= w.s.ev.LowerBound(&w.prob)
+		}
 	}
 	if w.better(score, seq) {
 		if c := evaluate(e.l, e.a, o, nest); c != nil {

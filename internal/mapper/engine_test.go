@@ -3,6 +3,7 @@ package mapper
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/arch"
@@ -43,6 +44,18 @@ func equivCases() []equivCase {
 			l:    workload.NewMatMul("m", 16, 64, 64),
 			a:    arch.InHouse(),
 			o:    Options{Spatial: arch.InHouseSpatial(), BWAware: true, Objective: MinEDP, MaxCandidates: 2000},
+		},
+		{
+			name: "casestudy-minenergy",
+			l:    workload.NewMatMul("m", 32, 64, 64),
+			a:    arch.CaseStudy(),
+			o:    Options{Spatial: arch.CaseStudySpatial(), BWAware: true, Objective: MinEnergy, MaxCandidates: 3000},
+		},
+		{
+			name: "casestudy-minedp-bwunaware",
+			l:    workload.NewMatMul("m", 24, 48, 96),
+			a:    arch.CaseStudy(),
+			o:    Options{Spatial: arch.CaseStudySpatial(), BWAware: false, Objective: MinEDP, MaxCandidates: 3000},
 		},
 		{
 			name: "tpulike-capped",
@@ -107,13 +120,67 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 				if stats.NestsGenerated != refStats.NestsGenerated ||
 					stats.Valid != refStats.Valid ||
-					stats.Skipped != refStats.Skipped {
-					t.Errorf("%s: stats {gen %d valid %d skip %d}, want {gen %d valid %d skip %d}",
-						cfg.label, stats.NestsGenerated, stats.Valid, stats.Skipped,
-						refStats.NestsGenerated, refStats.Valid, refStats.Skipped)
+					stats.Skipped != refStats.Skipped ||
+					stats.SubtreesPruned != refStats.SubtreesPruned {
+					t.Errorf("%s: stats {gen %d valid %d skip %d subtrees %d}, want {gen %d valid %d skip %d subtrees %d}",
+						cfg.label, stats.NestsGenerated, stats.Valid, stats.Skipped, stats.SubtreesPruned,
+						refStats.NestsGenerated, refStats.Valid, refStats.Skipped, refStats.SubtreesPruned)
 				}
 			}
 		})
+	}
+}
+
+// TestEnergyEDPMatchReference: the energy and EDP searches score on worker
+// scratch and prune EDP on E·LB, yet their Best score is bit-identical to the
+// minimum Candidate.Score over Enumerate — the materializing reference —
+// for both models, on several layer/arch pairs and a capped walk budget.
+func TestEnergyEDPMatchReference(t *testing.T) {
+	conv := workload.NewConv2D("c", 1, 32, 16, 14, 14, 3, 3)
+	cases := []struct {
+		name string
+		l    workload.Layer
+		a    *arch.Arch
+		o    Options
+	}{
+		{"inhouse", workload.NewMatMul("m", 16, 64, 64), arch.InHouse(), Options{Spatial: arch.InHouseSpatial(), MaxCandidates: 2000}},
+		{"casestudy", workload.NewMatMul("m", 32, 64, 64), arch.CaseStudy(), Options{Spatial: arch.CaseStudySpatial(), MaxCandidates: 3000}},
+		{"tpulike", workload.NewMatMul("m", 64, 128, 128), arch.TPULike(), Options{Spatial: arch.TPULikeSpatial(), MaxCandidates: 3000}},
+		{"casestudy-conv-capped", conv, arch.CaseStudy(), Options{Spatial: arch.CaseStudySpatial(), MaxCandidates: 500}},
+	}
+	for _, tc := range cases {
+		for _, ob := range []struct {
+			name string
+			obj  Objective
+		}{{"energy", MinEnergy}, {"edp", MinEDP}} {
+			obj := ob.obj
+			for _, bw := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/%s/bwaware=%v", tc.name, ob.name, bw), func(t *testing.T) {
+					o := tc.o
+					o.Objective, o.BWAware = obj, bw
+					all, _, err := Enumerate(context.Background(), &tc.l, tc.a, &o)
+					if err != nil {
+						t.Fatalf("Enumerate: %v", err)
+					}
+					if len(all) == 0 {
+						t.Fatal("Enumerate found no valid mapping")
+					}
+					want := all[0].Score(obj)
+					for _, c := range all[1:] {
+						if s := c.Score(obj); s < want {
+							want = s
+						}
+					}
+					cand, _, err := Best(context.Background(), &tc.l, tc.a, &o)
+					if err != nil {
+						t.Fatalf("Best: %v", err)
+					}
+					if got := cand.Score(obj); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("Best score %v, Enumerate minimum %v (want bit-identical)", got, want)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -69,9 +69,9 @@ type Options struct {
 	// budget (tests and benchmarks). The result is identical in all cases.
 	Workers int
 	// NoPrune disables the workers' branch-and-bound lower-bound prune
-	// (latency objectives only; see engine.go). The selected mapping and
-	// all exact statistics are identical with or without pruning — the
-	// knob exists for measurement.
+	// (latency and EDP objectives on the full model; see engine.go). The
+	// selected mapping and all exact statistics are identical with or
+	// without pruning — the knob exists for measurement.
 	NoPrune bool
 	// NoReduce disables the symmetry reduction (DESIGN.md §9): every
 	// distinct loop ordering is scored instead of one representative per
@@ -157,8 +157,9 @@ type Stats struct {
 	// Skipped is the exact number of orderings beyond the MaxCandidates
 	// walk budget, counted by multinomial arithmetic rather than walked.
 	Skipped int
-	// Pruned counts full evaluations skipped by the workers' lower bound
-	// (informational; trajectory-dependent).
+	// Pruned counts full evaluations skipped by the workers' lower bound:
+	// LB for the latency objective, E·LB for EDP (informational;
+	// trajectory-dependent).
 	Pruned int
 	// SurrogateReorders counts candidates the surrogate-guided order moved
 	// away from their canonical walk position (0 when the guided order is

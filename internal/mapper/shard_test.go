@@ -65,6 +65,7 @@ func TestShardedSearchIdentity(t *testing.T) {
 		{"conv/noreduce", &conv, arch.CaseStudy(), Options{Spatial: arch.CaseStudySpatial(), NoReduce: true, MaxCandidates: 4000}},
 		{"conv/capped", &conv, arch.CaseStudy(), Options{Spatial: arch.CaseStudySpatial(), MaxCandidates: 700}},
 		{"matmul/capped-edp", &mm, arch.InHouse(), Options{Spatial: arch.InHouseSpatial(), MaxCandidates: 900, Objective: MinEDP}},
+		{"matmul/capped-energy", &mm, arch.InHouse(), Options{Spatial: arch.InHouseSpatial(), MaxCandidates: 900, Objective: MinEnergy}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -312,9 +313,9 @@ func TestBestShardValidation(t *testing.T) {
 		{Depth: 99, Lo: 0, Hi: 1},
 		{Depth: 3, Lo: 2, Hi: 1},
 		{Depth: 3, Lo: -1, Hi: 1},
-		{Depth: 3, Lo: 1, Hi: 1, PermLo: 5, PermHi: 2},          // inverted sub-range
-		{Depth: 3, Lo: 0, Hi: 1, PermLo: -1},                    // negative offset
-		{Depth: 3, Lo: 0, Hi: 1, PermLo: 3, WalkedBefore: 1},    // walked < perm offset
+		{Depth: 3, Lo: 1, Hi: 1, PermLo: 5, PermHi: 2},                           // inverted sub-range
+		{Depth: 3, Lo: 0, Hi: 1, PermLo: -1},                                     // negative offset
+		{Depth: 3, Lo: 0, Hi: 1, PermLo: 3, WalkedBefore: 1},                     // walked < perm offset
 		{Depth: 3, Lo: 0, Hi: 1, PermLo: 1, WalkedBefore: 5, CappedBefore: true}, // capped at a visited position
 	} {
 		if _, err := BestShard(context.Background(), &mm, arch.InHouse(), &opt, spec); err == nil {
@@ -323,7 +324,7 @@ func TestBestShardValidation(t *testing.T) {
 	}
 }
 
-/// TestPlanShardsCanceled: a canceled context aborts planning.
+// / TestPlanShardsCanceled: a canceled context aborts planning.
 func TestPlanShardsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

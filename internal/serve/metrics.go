@@ -172,6 +172,7 @@ type metrics struct {
 	start     time.Time
 	endpoints map[string]*endpointMetrics
 	shed      counter
+	panics    counter // handler panics recovered by the middleware
 	search    searchCounters
 	// fabricShards counts shard requests this node executed on behalf of a
 	// remote coordinator (POST /v1/shard); fabricSteals counts the subset a
@@ -327,6 +328,7 @@ func (m *metrics) write(w io.Writer, memo memoSnapshot, adm admissionSnapshot, s
 	}{
 		{"servemodel_memo_transient_total", "Context-error results evicted instead of cached.", memo.Transient},
 		{"servemodel_memo_waits_total", "Callers coalesced onto another caller's in-flight search.", memo.Waits},
+		{"servemodel_panics_total", "Handler panics recovered and answered with 500.", m.panics.Load()},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", mc.name, mc.help, mc.name, mc.name, mc.v)
 	}

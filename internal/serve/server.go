@@ -23,6 +23,7 @@ import (
 	"errors"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/mapper"
@@ -194,22 +195,52 @@ func New(cfg Config) *Server {
 // Handler returns the root handler (mount on an http.Server).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// statusWriter records the status code a handler wrote.
+// statusWriter records the status code a handler wrote, and whether it
+// wrote anything at all.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code  int
+	wrote bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
+	w.wrote = true
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
+}
+
+// handlerPanic is a recovered handler panic: the value and the stack of
+// the panicking goroutine.
+type handlerPanic struct {
+	val   any
+	stack []byte
+}
+
+// serveRecovered runs h and returns the panic it raised, if any, so the
+// middleware can release the admission slot and record the request on
+// every path.
+func serveRecovered(h http.HandlerFunc, w http.ResponseWriter, r *http.Request) (hp *handlerPanic) {
+	defer func() {
+		if v := recover(); v != nil {
+			hp = &handlerPanic{val: v, stack: debug.Stack()}
+		}
+	}()
+	h(w, r)
+	return nil
 }
 
 // instrument wraps a handler with the middleware stack: in-flight gauge,
 // trace join/start, admission control (when admit), latency/status metrics,
 // the request log line and the flight-recorder entry. The request id is
 // minted here and echoed as X-Request-Id so a client can quote the exact
-// server-side log lines and flight entry for any response it holds.
+// server-side log lines and flight entry for any response it holds. A
+// handler panic is recovered: the slot is released and the request recorded
+// as usual, and the client gets a 500 carrying the trace id.
 func (s *Server) instrument(name string, admit bool, h http.HandlerFunc) http.Handler {
 	em := s.met.endpoint(name)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -239,9 +270,10 @@ func (s *Server) instrument(name string, admit bool, h http.HandlerFunc) http.Ha
 		r = r.WithContext(withReqNote(ctx, note))
 
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		var hp *handlerPanic
 		switch {
 		case !admit:
-			h(sw, r)
+			hp = serveRecovered(h, sw, r)
 		default:
 			at0 := time.Now()
 			release, err := s.adm.acquire(r.Context(), tenant)
@@ -255,14 +287,30 @@ func (s *Server) instrument(name string, admit bool, h http.HandlerFunc) http.Ha
 			default:
 				otrace.RecordSpan(r.Context(), "admission.wait", otrace.CatQueue, "",
 					at0, time.Since(at0), otrace.Attr{K: "tenant", V: tenant})
-				h(sw, r)
+				hp = serveRecovered(h, sw, r)
 				release()
+			}
+		}
+		traceID := otrace.IDString(r.Context())
+		if hp != nil {
+			s.met.panics.Add(1)
+			s.log.LogAttrs(r.Context(), slog.LevelError, "handler panic",
+				slog.String("endpoint", name),
+				slog.Any("panic", hp.val),
+				slog.String("trace_id", traceID),
+				slog.String("request_id", reqID),
+				slog.String("stack", string(hp.stack)),
+			)
+			span.SetAttr("panic", "true")
+			if sw.wrote {
+				sw.code = http.StatusInternalServerError // the reply is already partly sent
+			} else {
+				writeJSON(sw, http.StatusInternalServerError, errorBody{Error: "internal server error", TraceID: traceID})
 			}
 		}
 		span.End()
 		d := time.Since(t0)
 		em.done(sw.code, d.Seconds())
-		traceID := otrace.IDString(r.Context())
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("endpoint", name),
 			slog.String("method", r.Method),
@@ -410,6 +458,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // errorBody is the JSON shape of every error response.
 type errorBody struct {
 	Error string `json:"error"`
+	// TraceID is set on the 500 answering a recovered handler panic, so
+	// the failure can be found in /v1/trace and the server log.
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
