@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke bench-e2e serve-smoke fabric-smoke clean
+.PHONY: all build test race vet lint bench bench-smoke bench-e2e fuzz-smoke serve-smoke fabric-smoke clean
 
 all: build test
 
@@ -35,8 +35,8 @@ lint:
 # Search & model benchmarks with allocation stats, appended to the JSON
 # history in BENCH_mapper.json keyed by git SHA + date (see cmd/benchjson).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMapperSearch|BenchmarkMapperSearchEnergy|BenchmarkMapperSearchEDP|BenchmarkModelThroughput|BenchmarkNetworkEval|BenchmarkGenerateOnly|BenchmarkServe|BenchmarkScoreBatch|BenchmarkFabric|BenchmarkTransformer' \
-		-benchmem -benchtime=2s . ./internal/mapper ./internal/serve ./internal/fabric | tee /dev/stderr | $(GO) run ./cmd/benchjson -compare BENCH_mapper.json -out BENCH_mapper.json
+	$(GO) test -run '^$$' -bench 'BenchmarkMapperSearch|BenchmarkMapperSearchEnergy|BenchmarkMapperSearchEDP|BenchmarkModelThroughput|BenchmarkNetworkEval|BenchmarkGenerateOnly|BenchmarkServe|BenchmarkScoreBatch|BenchmarkFabric|BenchmarkTransformer|BenchmarkUnionMixedSpans|BenchmarkAssignBounds' \
+		-benchmem -benchtime=2s . ./internal/periodic ./internal/mapper ./internal/serve ./internal/fabric | tee /dev/stderr | $(GO) run ./cmd/benchjson -compare BENCH_mapper.json -out BENCH_mapper.json
 
 # Two passes. First, one iteration of every benchmark in the repo (the
 # surrogate and batch-scoring benchmarks included): CI runs this so a
@@ -65,6 +65,18 @@ bench-e2e:
 	@for w in $(BENCH_WORKLOADS); do \
 		echo "== $$w"; \
 		bash e2ebench/run.sh --workload $$w --trace 0 || exit 1; \
+	done
+
+# Every native fuzz target in the module for 10 s, one target per
+# invocation (go test -fuzz accepts a single target). A failing input is
+# written under the package's testdata/fuzz, ready to commit as a
+# regression case.
+fuzz-smoke:
+	@grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' --exclude-dir=e2ebench . | \
+	while IFS=: read -r file fn; do \
+		pkg=./$$(dirname $${file#./}); fn=$${fn#func }; \
+		echo "== $$pkg $$fn"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime=10s $$pkg || exit 1; \
 	done
 
 # Black-box smoke test of the HTTP daemon: build cmd/servemodel, serve on a

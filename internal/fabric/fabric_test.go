@@ -7,9 +7,12 @@ package fabric_test
 // package because the serving side imports fabric.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -19,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/mapper"
 	"repro/internal/serve"
@@ -221,6 +225,81 @@ func TestSearchRemoteSteal(t *testing.T) {
 	if !found {
 		t.Error("servemodel_fabric_steals_total missing from /metrics")
 	}
+}
+
+// TestStealBeforeShardRegisters: a steal POST that overtakes its victim's
+// shard request — the sid is not registered yet — must still land. The
+// node remembers it, and the shard that later registers under that sid
+// stops at its entry position: Truncated with its own spec as the exact
+// Resume, and the remainder walked elsewhere merges bit-identically.
+func TestStealBeforeShardRegisters(t *testing.T) {
+	ts := quietServer(t)
+	l := workload.ResNet18Suite()[3]
+	hw, sp := arch.CaseStudy(), arch.CaseStudySpatial()
+	mo := &mapper.Options{Spatial: sp, MaxCandidates: 4000}
+	ctx := context.Background()
+	ref, refStats, err := mapper.Best(ctx, &l, hw, mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mapper.PlanShards(ctx, &l, hw, mo, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := plan.Specs[1]
+
+	post := func(path string, body any, wantCode int, out any) {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != wantCode {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("POST %s: HTTP %d (%s), want %d", path, resp.StatusCode, msg, wantCode)
+		}
+		if out != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var ack map[string]string
+	post("/v1/shard/steal", fabric.StealRequest{Sid: "early-1"}, http.StatusAccepted, &ack)
+	if ack["status"] != "pending" {
+		t.Errorf("steal for an unregistered sid: status %q, want pending", ack["status"])
+	}
+	var resp fabric.ShardResponse
+	post("/v1/shard", fabric.ShardRequest{
+		Arch: "casestudy", Spatial: sp.String(), Layer: config.FromLayer(&l),
+		Budget: mo.MaxCandidates, Objective: "latency", Shard: victim, Sid: "early-1",
+	}, http.StatusOK, &resp)
+	stolen, err := resp.Outcome()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stolen.Truncated || stolen.Resume != victim {
+		t.Fatalf("early steal: truncated=%v resume=%+v, want truncated at the entry spec %+v", stolen.Truncated, stolen.Resume, victim)
+	}
+
+	outs := []*mapper.ShardOutcome{stolen}
+	for _, spec := range append([]mapper.ShardSpec{stolen.Resume}, plan.Specs[0], plan.Specs[2]) {
+		out, err := mapper.BestShard(ctx, &l, hw, mo, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	cand, stats, err := mapper.MergeShards(&l, hw, mo, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSearch(t, "early-steal", ref, refStats, cand, stats)
 }
 
 // TestSearchViaServeEndpoint: a sharded /v1/search on a coordinator node

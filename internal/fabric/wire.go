@@ -36,8 +36,9 @@ type ShardRequest struct {
 	// Sid is the coordinator-chosen steal handle: when set, the node
 	// registers the shard's live ShardControl under it for the duration of
 	// the walk, and a POST /v1/shard/steal naming it stops the walk at the
-	// exact current frontier. The response then carries Truncated plus the
-	// Resume spec for the unwalked remainder.
+	// exact current frontier — or at its entry position when the steal
+	// arrived before the shard registered. The response then carries
+	// Truncated plus the Resume spec for the unwalked remainder.
 	Sid string `json:"sid,omitempty"`
 }
 

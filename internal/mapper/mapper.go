@@ -294,8 +294,15 @@ func assignBounds(m *mapping.Mapping, l *workload.Layer, a *arch.Arch) bool {
 // assignBoundsIn is assignBounds with caller-provided chain resolution and
 // boundary storage, so the search hot path can run it allocation-free. The
 // boundary slices written into m.Bound alias store.
+//
+// Each level's tile is grown with a running per-dimension product of the
+// temporal prefix, so one operand costs O(len(Temporal)) instead of a fresh
+// Mapping.MemData product per candidate boundary. Integer products commute
+// (mod 2^64 too), so every tile size — and every bound — is exactly what
+// MemData gives.
 func assignBoundsIn(m *mapping.Mapping, l *workload.Layer, chains *[loops.NumOperands][]*arch.Memory, store *[loops.NumOperands][]int) bool {
 	n := len(m.Temporal)
+	sp := m.Spatial.DimProduct()
 	for _, op := range loops.AllOperands {
 		chain := chains[op]
 		bounds := store[op][:0]
@@ -303,33 +310,47 @@ func assignBoundsIn(m *mapping.Mapping, l *workload.Layer, chains *[loops.NumOpe
 			bounds = append(bounds, 0)
 		}
 		store[op] = bounds
-		prev := 0
+		m.Bound[op] = bounds
+		bits := int64(l.Precision.Bits(op))
+		var tp [loops.NumDims]int64 // temporal product per dim of Temporal[:b]
+		for i := range tp {
+			tp[i] = 1
+		}
+		b := 0
 		for lev := range chain {
 			if lev == len(chain)-1 {
 				bounds[lev] = n
 				break
 			}
 			capBits := chain[lev].MapperCapacityBits()
-			bits := int64(l.Precision.Bits(op))
-			b := prev
-			m.Bound[op] = bounds // MemData reads Bound; keep it current
 			bounds[lev] = b
-			if m.MemData(op, lev, l.Strides)*bits > capBits {
+			if tileElems(op, &tp, &sp, l.Strides)*bits > capBits {
 				return false // spatial tile alone does not fit
 			}
-			for b < n {
-				bounds[lev] = b + 1
-				if m.MemData(op, lev, l.Strides)*bits > capBits {
-					bounds[lev] = b
+			for ; b < n; b++ {
+				lp := m.Temporal[b]
+				prev := tp[lp.Dim]
+				tp[lp.Dim] = prev * lp.Size
+				if tileElems(op, &tp, &sp, l.Strides)*bits > capBits {
+					tp[lp.Dim] = prev
 					break
 				}
-				b++
 			}
-			prev = bounds[lev]
+			bounds[lev] = b
 		}
-		m.Bound[op] = bounds
 	}
 	return true
+}
+
+// tileElems is the element count of op's tile spanning the temporal
+// per-dimension products tp times the spatial ones sp — Mapping.MemData with
+// the temporal product supplied instead of recomputed.
+func tileElems(op loops.Operand, tp, sp *[loops.NumDims]int64, st loops.Strides) int64 {
+	var dims [loops.NumDims]int64
+	for i := range dims {
+		dims[i] = tp[i] * sp[i]
+	}
+	return loops.TileElems(op, dims, st)
 }
 
 // splits returns the ways to factor extent into up to maxParts ordered

@@ -96,13 +96,13 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// hyperperiod returns the least common multiple of the windows' periods,
+// hyperperiod returns the least common multiple of the runs' periods,
 // saturating at limit (returns limit+1 when exceeded).
-func hyperperiod(ws []Window, limit int64) int64 {
+func hyperperiod(runs []mergeRun, limit int64) int64 {
 	h := int64(1)
-	for _, w := range ws {
-		g := gcd(h, w.Period)
-		h = h / g * w.Period
+	for _, r := range runs {
+		g := gcd(h, r.period)
+		h = h / g * r.period
 		if h > limit || h <= 0 {
 			return limit + 1
 		}
@@ -147,113 +147,191 @@ func unionLength(ws []Window, sc *UnionScratch) (int64, bool) {
 	if sc == nil {
 		sc = &UnionScratch{}
 	}
-	// Drop empty windows.
-	live := ws[:0:0]
+	// One cursor per non-empty window.
+	runs := sc.runs[:0]
 	span := int64(0)
 	for _, w := range ws {
 		if w.Span() > span {
 			span = w.Span()
 		}
 		if w.TotalActive() > 0 {
-			live = append(live, w)
+			runs = append(runs, mergeRun{period: w.Period, start: w.Start, active: w.Active, count: w.Count})
 		}
 	}
-	if len(live) == 0 || span == 0 {
+	sc.runs = runs
+	if len(runs) == 0 || span == 0 {
 		return 0, true
 	}
 	// Fast path: any full window covering the whole span covers everything.
-	for _, w := range live {
-		if w.IsFull() && w.Span() == span {
+	for _, r := range runs {
+		if r.active == r.period && r.span() == span {
 			return span, true
 		}
 	}
-	if len(live) == 1 {
-		return live[0].TotalActive(), true
+	if len(runs) == 1 {
+		return runs[0].active * runs[0].count, true
 	}
 
-	h := hyperperiod(live, span)
+	h := hyperperiod(runs, span)
 	if h > span {
 		h = span
 	}
 	// Estimate the interval count; fall back if pathological.
-	var count int64
-	for _, w := range live {
-		count += h/w.Period + 1
-	}
-	if count > maxUnionIntervals {
-		// Conservative fallback: the union is at least as long as the
-		// longest member (underestimating the union overestimates the
-		// combined stall — safe for a latency bound).
-		best := int64(0)
-		for _, w := range live {
-			if ta := w.TotalActive(); ta > best {
-				best = ta
-			}
-		}
-		return best, false
+	if sweptIntervals(runs, h) > maxUnionIntervals {
+		return fallbackLength(runs), false
 	}
 
-	runs := sc.runs[:0]
-	for _, w := range live {
-		limit := h
-		if wspan := w.Span(); wspan < limit {
-			limit = wspan
-		}
-		runs = append(runs, mergeRun{period: w.Period, start: w.Start, active: w.Active, limit: limit})
-	}
-	sc.runs = runs
-	perH := mergedLength(runs)
-
-	if h >= span {
-		return perH, true
-	}
-	// The union pattern repeats every h cycles for windows spanning the
-	// full range; windows with shorter spans only contribute to their own
-	// prefix. When all spans equal the max span the repetition is exact.
 	allFullSpan := true
-	for _, w := range live {
-		if w.Span() != span {
+	for _, r := range runs {
+		if r.span() != span {
 			allFullSpan = false
 			break
 		}
 	}
 	if allFullSpan {
-		return perH * (span / h), true
+		// Every window spans [0, span), a multiple of h: the union pattern
+		// repeats exactly span/h times.
+		return prefixLength(runs, h) * (span / h), true
 	}
-	// Mixed spans: compute exactly over the whole range if affordable.
+	// Mixed spans (the psum read-back endpoint of a port spans fewer
+	// periods than its write-up endpoint). The exact-or-fallback decision
+	// is the whole-range sweep's whichever exact method then runs, so
+	// (length, exact) does not depend on the method.
 	var fullCount int64
-	for _, w := range live {
-		fullCount += w.Count + 1
+	for _, r := range runs {
+		fullCount += r.count + 1
 	}
-	if fullCount <= maxUnionIntervals {
-		runs = runs[:0]
-		for _, w := range live {
-			runs = append(runs, mergeRun{period: w.Period, start: w.Start, active: w.Active, limit: w.Span()})
-		}
-		sc.runs = runs
-		return mergedLength(runs), true
+	if h < span && fullCount > maxUnionIntervals {
+		return fallbackLength(runs), false
 	}
+	if n, ok := segmentedLength(runs, fullCount); ok {
+		return n, true
+	}
+	for i := range runs {
+		runs[i].base, runs[i].limit = 0, runs[i].span()
+	}
+	return mergedLength(runs), true
+}
+
+// fallbackLength is the conservative union bound: the union is at least as
+// long as its longest member (underestimating the union overestimates the
+// combined stall — safe for a latency bound).
+func fallbackLength(runs []mergeRun) int64 {
 	best := int64(0)
-	for _, w := range live {
-		if ta := w.TotalActive(); ta > best {
+	for _, r := range runs {
+		if ta := r.active * r.count; ta > best {
 			best = ta
 		}
 	}
-	return best, false
+	return best
+}
+
+// segmentedLength measures the union of windows with differing spans
+// without sweeping every period. Between two consecutive span ends the set
+// of live windows is fixed, and their union is periodic in that set's
+// hyperperiod hL; so the measure over a segment [a, b) is G(b) − G(a) with
+// G(t) = ⌊t/hL⌋·U + M(t mod hL), where U is the union over one hyperperiod
+// and M(r) the union over [0, r), both swept by mergedLength.
+//
+// It first prices that decomposition in swept intervals and declines
+// (ok = false) unless it costs fewer than sweepCost —
+// coprime periods, for instance, make hL exceed the segment and leave the
+// plain sweep cheaper. Both methods are exact. runs is reordered by
+// decreasing span, so each segment's live set is a prefix.
+func segmentedLength(runs []mergeRun, sweepCost int64) (length int64, ok bool) {
+	for i := 1; i < len(runs); i++ {
+		for j := i; j > 0 && runs[j].span() > runs[j-1].span(); j-- {
+			runs[j], runs[j-1] = runs[j-1], runs[j]
+		}
+	}
+	var cost int64
+	for pass := 0; pass < 2; pass++ {
+		hL := int64(1)
+		for i := 0; i < len(runs); {
+			b := runs[i].span()
+			for ; i < len(runs) && runs[i].span() == b; i++ {
+				hL = lcmCapped(hL, runs[i].period, runs[0].span())
+			}
+			a := int64(0)
+			if i < len(runs) {
+				a = runs[i].span()
+			}
+			live := runs[:i]
+			qa, ra, qb, rb := int64(0), a, int64(0), b
+			if hL <= b {
+				qa, ra, qb, rb = a/hL, a%hL, b/hL, b%hL
+			}
+			if pass == 0 {
+				cost += sweptIntervals(live, rb) + sweptIntervals(live, ra)
+				if qb > qa {
+					cost += sweptIntervals(live, hL)
+				}
+				if cost >= sweepCost {
+					return 0, false
+				}
+				continue
+			}
+			if qb > qa {
+				length += (qb - qa) * prefixLength(live, hL)
+			}
+			length += prefixLength(live, rb) - prefixLength(live, ra)
+		}
+	}
+	return length, true
+}
+
+// lcmCapped returns lcm(h, p), or limit+1 once it exceeds limit (h is
+// already limit+1 or at most limit). Overflow-safe.
+func lcmCapped(h, p, limit int64) int64 {
+	if h > limit {
+		return h
+	}
+	x := h / gcd(h, p)
+	if x > limit/p {
+		return limit + 1
+	}
+	return x * p
+}
+
+// sweptIntervals is how many intervals prefixLength(runs, limit) visits.
+func sweptIntervals(runs []mergeRun, limit int64) int64 {
+	if limit <= 0 {
+		return 0
+	}
+	var n int64
+	for _, r := range runs {
+		n += limit/r.period + 1
+	}
+	return n
+}
+
+// prefixLength is the measure over [0, limit) of the union of the runs'
+// unbounded periodic patterns.
+func prefixLength(runs []mergeRun, limit int64) int64 {
+	if limit <= 0 {
+		return 0
+	}
+	for i := range runs {
+		runs[i].base, runs[i].limit = 0, limit
+	}
+	return mergedLength(runs)
 }
 
 // mergeRun is one window's cursor in the k-way interval merge: it yields the
 // window's active intervals [base+start, base+start+active) for base = 0,
 // period, 2·period, … clipped to limit, in increasing order. Because every
 // window emits its intervals already sorted, the union needs no global sort —
-// a k-way merge over the cursors visits the same intervals in the same
-// left-to-right order the old sort-then-sweep produced, and the measure of a
-// union is a set property, so the result is identical.
+// a k-way merge over the cursors visits the intervals left to right, and the
+// measure of a union is a set property.
 type mergeRun struct {
 	period, start, active int64
+	count                 int64 // the window's number of periods (Z)
 	base                  int64 // next interval base offset
 	limit                 int64 // clip bound (exclusive)
 }
+
+// span is the window's own extent, Period·Count.
+func (r *mergeRun) span() int64 { return r.period * r.count }
 
 // mergedLength sweeps the k cursors left to right and returns the total
 // length of the union of their intervals. k is the number of windows sharing

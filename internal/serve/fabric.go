@@ -24,22 +24,42 @@ import (
 
 // stealRegistry indexes the live ShardControls of in-flight shard requests
 // by their coordinator-chosen sid, so POST /v1/shard/steal can reach into a
-// running walk. Entries live exactly as long as the walk; a steal for a sid
-// that already finished (or never ran here) is a 404, which the coordinator
-// treats as "victim completes whole".
+// running walk. Entries live exactly as long as the walk.
+//
+// A steal can overtake its victim: the coordinator may POST it while the
+// shard request is still being decoded here. A steal naming an unknown sid
+// is therefore remembered (in a small FIFO-bounded set), and a shard that
+// registers under a remembered sid truncates at its entry position at once:
+// its whole range comes back as the Resume remainder for the idle
+// executors. A remembered sid that never registers (its shard already
+// finished, or ran elsewhere) just ages out.
 type stealRegistry struct {
-	mu   sync.Mutex
-	byID map[string]*mapper.ShardControl
+	mu     sync.Mutex
+	byID   map[string]*mapper.ShardControl
+	early  map[string]struct{}
+	earlyQ []string // early's sids, oldest first
 }
+
+// maxEarlySteals bounds the remembered steals. Each in-flight coordinator
+// executor has at most one outstanding steal, so a few dozen cover any
+// realistic fleet; overflow evicts the oldest, whose shard then simply
+// runs whole.
+const maxEarlySteals = 64
 
 func newStealRegistry() *stealRegistry {
-	return &stealRegistry{byID: map[string]*mapper.ShardControl{}}
+	return &stealRegistry{byID: map[string]*mapper.ShardControl{}, early: map[string]struct{}{}}
 }
 
+// add registers a shard's control, truncating it at once when a steal for
+// its sid arrived first.
 func (sr *stealRegistry) add(sid string, ctl *mapper.ShardControl) {
 	sr.mu.Lock()
+	defer sr.mu.Unlock()
 	sr.byID[sid] = ctl
-	sr.mu.Unlock()
+	if _, ok := sr.early[sid]; ok {
+		delete(sr.early, sid)
+		ctl.Truncate(ctl.Frontier())
+	}
 }
 
 func (sr *stealRegistry) remove(sid string) {
@@ -48,11 +68,26 @@ func (sr *stealRegistry) remove(sid string) {
 	sr.mu.Unlock()
 }
 
-func (sr *stealRegistry) get(sid string) (*mapper.ShardControl, bool) {
+// steal stops the shard registered under sid at its published frontier, or
+// remembers the steal for a shard that has not registered yet. It reports
+// whether a live shard was reached.
+func (sr *stealRegistry) steal(sid string) bool {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	ctl, ok := sr.byID[sid]
-	return ctl, ok
+	if ctl, ok := sr.byID[sid]; ok {
+		ctl.Truncate(ctl.Frontier())
+		return true
+	}
+	if _, ok := sr.early[sid]; ok {
+		return false
+	}
+	if len(sr.earlyQ) == maxEarlySteals {
+		delete(sr.early, sr.earlyQ[0])
+		sr.earlyQ = sr.earlyQ[1:]
+	}
+	sr.early[sid] = struct{}{}
+	sr.earlyQ = append(sr.earlyQ, sid)
+	return false
 }
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
@@ -123,7 +158,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShardSteal stops the in-flight shard registered under the given sid
-// at its exact walk frontier. 202 means "stopping"; the stolen remainder
+// at its exact walk frontier, or — when that shard has not registered yet —
+// at its entry position once it does. 202 either way; the stolen remainder
 // comes back to the coordinator in the original shard request's response.
 func (s *Server) handleShardSteal(w http.ResponseWriter, r *http.Request) {
 	var req fabric.StealRequest
@@ -131,13 +167,15 @@ func (s *Server) handleShardSteal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctl, ok := s.steals.get(req.Sid)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no in-flight shard with that sid")
+	if req.Sid == "" {
+		writeError(w, http.StatusBadRequest, "steal request names no sid")
 		return
 	}
-	ctl.Truncate(ctl.Frontier())
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "stopping"})
+	status := "pending"
+	if s.steals.steal(req.Sid) {
+		status = "stopping"
+	}
+	writeJSON(w, http.StatusAccepted, map[string]string{"status": status})
 }
 
 func (s *Server) handleMemoGet(w http.ResponseWriter, r *http.Request) {
