@@ -39,21 +39,22 @@ bench:
 		-benchmem -benchtime=2s . ./internal/periodic ./internal/mapper ./internal/serve ./internal/fabric | tee /dev/stderr | $(GO) run ./cmd/benchjson -compare BENCH_mapper.json -out BENCH_mapper.json
 
 # Two passes. First, one iteration of every benchmark in the repo (the
-# surrogate and batch-scoring benchmarks included): CI runs this so a
+# batch-scoring benchmarks included): CI runs this so a
 # benchmark that stops compiling or starts failing is caught on the PR, and
 # the cmd/benchjson parser is exercised end to end; its -compare delta
 # report against the checked-in BENCH_mapper.json is informational ONLY —
 # single-iteration timings include one-time cold-start costs (empty memo
 # caches, unwarmed evaluator scratch) that put them hundreds of times over
 # the multi-iteration history for the caching benchmarks, so they must
-# never gate. Second, the core memo-free benchmarks re-measured with real
+# never gate. Second, the core memo-free benchmarks (and the walk alone,
+# ./internal/mapper's BenchmarkGenerateOnly) re-measured with real
 # iteration counts, gated by -threshold: a > 400% ns/op regression against
 # the history fails CI. The bound is far above runner noise on purpose —
 # the gate is for catastrophic regressions, not jitter. No history entry is
 # written by either pass.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./... | $(GO) run ./cmd/benchjson -compare BENCH_mapper.json > /dev/null
-	$(GO) test -run '^$$' -bench '^(BenchmarkMapperSearch|BenchmarkMapperSearchEnergy|BenchmarkMapperSearchEDP|BenchmarkModelThroughput|BenchmarkScoreBatch)$$' -benchmem -benchtime=0.5s . \
+	$(GO) test -run '^$$' -bench '^(BenchmarkMapperSearch|BenchmarkMapperSearchEnergy|BenchmarkMapperSearchEDP|BenchmarkModelThroughput|BenchmarkScoreBatch|BenchmarkGenerateOnly)$$' -benchmem -benchtime=0.5s . ./internal/mapper \
 		| $(GO) run ./cmd/benchjson -compare BENCH_mapper.json -threshold 400 > /dev/null
 
 # The end-to-end servemodel benchmark, once per workload BENCHMARK.json

@@ -72,7 +72,6 @@ func main() {
 		spatial  = flag.String("spatial", "", "override spatial unrolling, e.g. \"K 16 | B 8 | C 2\"")
 		cacheDir = flag.String("cachedir", "", `on-disk search cache: directory path, or "auto" for the user cache dir (empty = memory only)`)
 		nosym    = flag.Bool("nosym", false, "disable the symmetry-reduced enumeration (walk every ordering)")
-		nosur    = flag.Bool("nosurrogate", false, "disable the surrogate-guided candidate ordering (results identical; canonical walk order)")
 		explain  = flag.Bool("explain", false, "print the stall-attribution explainer (per-DTL stalls, critical chain)")
 		explJSON = flag.String("explainjson", "", "write the full explainer report as JSON to this file")
 		traceOut = flag.String("tracejson", "", "write a Chrome/Perfetto trace-event file of the port timelines to this file")
@@ -195,7 +194,7 @@ func main() {
 	} else if *anneal {
 		var err error
 		best, err = mapper.AnnealCached(context.Background(), &layer, hw, &mapper.AnnealOptions{
-			Spatial: sp, BWAware: !*unaware, Iterations: *budget / 4, NoReduce: *nosym, NoSurrogate: *nosur, Hooks: hooks,
+			Spatial: sp, BWAware: !*unaware, Iterations: *budget / 4, NoReduce: *nosym, Hooks: hooks,
 		})
 		if err != nil {
 			fatal("annealing: %v", err)
@@ -206,7 +205,7 @@ func main() {
 		var stats *mapper.Stats
 		var err error
 		opt := &mapper.Options{
-			Spatial: sp, BWAware: !*unaware, MaxCandidates: *budget, NoReduce: *nosym, NoSurrogate: *nosur, Hooks: hooks,
+			Spatial: sp, BWAware: !*unaware, MaxCandidates: *budget, NoReduce: *nosym, Hooks: hooks,
 		}
 		var run mapper.SearchFunc
 		var steals atomic.Int64
@@ -276,11 +275,9 @@ func main() {
 		if *explain {
 			fmt.Println()
 			fmt.Print(rep.Text())
-			if st := searchStats; st != nil && !*nosur && st.Valid > 0 {
-				fmt.Printf("guided search: surrogate order pruned %d of %d candidates before evaluation (%.1f%%), rank correlation %.3f\n",
-					st.SurrogatePruned, st.Valid,
-					100*float64(st.SurrogatePruned)/float64(st.Valid),
-					st.SurrogateRankCorr)
+			if st := searchStats; st != nil && st.Valid > 0 {
+				fmt.Printf("search: lower bound pruned %d of %d valid candidates before evaluation (%.1f%%)\n",
+					st.Pruned, st.Valid, 100*float64(st.Pruned)/float64(st.Valid))
 			}
 		}
 		if *explJSON != "" {

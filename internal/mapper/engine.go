@@ -22,7 +22,8 @@ package mapper
 //
 // The generator itself is symmetry- and bound-aware (DESIGN.md §9): it
 // canonicalizes every walked ordering by its model-equivalence signature and
-// emits only the first member of each class (reduce.go), and it drops whole
+// emits only the first member of each class (reduce.go; with more than one
+// worker the canonicalization runs on the lanes, pipeline.go), and it drops whole
 // factorization subtrees whose incremental lower bound — the partial
 // temporal product composed per dimension, times the smallest completion,
 // plus the mapping-independent preload/offload floor — already exceeds a
@@ -36,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +49,6 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/surrogate"
 	"repro/internal/workload"
 )
 
@@ -67,32 +68,29 @@ type scored struct {
 	seq   int64  // generation index, the final tie-break
 }
 
-// Boundary-precomputation state of a job. The guided producer already runs
-// the greedy boundary assignment on every candidate (the feature vector needs
-// the level contents), so it ships the result along: the workers reuse the
-// bounds instead of recomputing them, and the guided order pays for the
-// assignment ONCE per candidate — exactly like the canonical order.
-// assignBoundsIn is deterministic in (nest, layer, chains), so a reused
-// result is bit-identical to a recomputed one.
+// Boundary state of a job. The canonicalizer runs the greedy boundary
+// assignment on every visited ordering anyway (the signature needs the level
+// contents), so each representative carries the result: the workers reuse
+// the bounds instead of recomputing them, and assignBoundsIn runs at most
+// once per ordering. The assignment is deterministic in (nest, layer,
+// chains), so a reused result is bit-identical to a recomputed one.
 const (
-	boundsUnknown uint8 = iota // not precomputed: the worker assigns bounds itself
+	boundsUnknown uint8 = iota // not precomputed (NoReduce): the worker assigns bounds itself
 	boundsFailed               // precomputed and failed: the nest can never validate
 	boundsReady                // precomputed: bnd holds the per-operand boundaries
 )
 
-// job is one nest to evaluate, tagged with its generation index and — under
-// the guided order — the surrogate prediction that positioned it (NaN when
-// the guided order is inactive) plus the producer's boundary assignment.
+// job is one nest to evaluate, tagged with its generation index and the
+// canonicalizer's boundary assignment.
 type job struct {
 	seq    int64
-	pred   float64
 	nest   loops.Nest
 	bstate uint8
 	bnd    [loops.NumOperands][]int // boundsReady only; read-only for workers
 }
 
-// batchSize amortizes channel traffic: the generator ships nests to the
-// workers in slabs of this many.
+// batchSize amortizes channel traffic: representatives travel to the lanes
+// in slabs of this many.
 const batchSize = 64
 
 type engine struct {
@@ -102,11 +100,15 @@ type engine struct {
 	o    *Options
 	mode searchMode
 
-	// aborted flips once when ctx is observed canceled: the generator stops
-	// walking and the workers drop the remaining batches without scoring
-	// them. After an abort the search returns ctx.Err() and every partial
-	// counter/candidate is discarded.
+	// aborted flips once when ctx is observed canceled or a goroutine of the
+	// search panics: the walk stops and the lanes drop the remaining work
+	// without doing it. After an abort the search returns ctx.Err() (or the
+	// panic's error) and every partial counter/candidate is discarded.
 	aborted atomic.Bool
+	// panicOnce/panicErr record the first panic recovered on any goroutine
+	// of the search (fail); runSearch reports it once every lane is joined.
+	panicOnce sync.Once
+	panicErr  *PanicError
 
 	// prune enables the workers' lower-bound branch-and-bound (modeBest,
 	// full model only — for the baseline model the "bound" IS the latency).
@@ -119,21 +121,15 @@ type engine struct {
 	// best, so the emitted nest stream — and every exact Stats counter —
 	// is independent of worker count and of NoPrune.
 	genPrune bool
-	// guided enables the surrogate-guided best-first order (DESIGN.md §12):
-	// the canonical walk runs unchanged — every generation-side counter is
-	// identical — but the emitted representatives are collected, sorted by
-	// surrogate prediction and only then streamed to the workers, carrying
-	// their original walk seq so the (score, seq) tie-break is untouched.
-	// Active only where the workers' prune can cash the better order in.
-	guided bool
 	// bestBits is Float64bits of the best score seen by any worker; it
 	// only decreases. Read by workers for the prune decision.
 	bestBits atomic.Uint64
-	// nworkers is the decided evaluation-lane count. The guided producer's
-	// prediction pass reuses it as its parallelism: while the producer
-	// collects, those lanes sit blocked on an empty channel, so the budget
-	// the search acquired is exactly the budget the pass may spend.
-	nworkers int
+
+	// seen interns the class signatures committed so far (walk goroutine
+	// only): a visited ordering whose signature is already present merges
+	// into that class. Drawn from seenPool on first use, so back-to-back
+	// searches stop regrowing it from empty.
+	seen map[string]struct{}
 
 	// shard restricts the walk to one contiguous prefix range of the
 	// canonical enumeration (shard.go), or replays the walk arithmetically
@@ -156,11 +152,44 @@ type engine struct {
 	obsBestBits atomic.Uint64
 }
 
+// PanicError is the error a search returns when one of its goroutines — the
+// walk or a scoring/canonicalizing lane — panicked: the panic is recovered
+// at the goroutine boundary, the other lanes wind down, and the caller gets
+// an error instead of a crashed process. It reports itself transient, so
+// the memo cache never keeps it (a panic may come from a caller-specific
+// hook, which the cache key excludes).
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (p *PanicError) Error() string { return fmt.Sprintf("mapper: search panicked: %v", p.Value) }
+
+// Transient marks the error as saying nothing about the search's key.
+func (p *PanicError) Transient() bool { return true }
+
+// fail records a recovered panic and aborts the search.
+func (e *engine) fail(r any) {
+	e.panicOnce.Do(func() { e.panicErr = &PanicError{Value: r, Stack: debug.Stack()} })
+	e.aborted.Store(true)
+}
+
+// recoverInto runs fn, turning a panic into a recorded search failure.
+func (e *engine) recoverInto(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(r)
+		}
+	}()
+	fn()
+}
+
 // runSearch drives one search. It returns the best candidate (modeBest),
 // the unsorted candidate list (modeAll), and exact statistics. When ctx is
 // canceled mid-search the pipeline winds down cooperatively and runSearch
-// returns ctx.Err() with no candidate and no stats.
-func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options, mode searchMode, sh *shardRun) (*Candidate, []scored, *Stats, error) {
+// returns ctx.Err() with no candidate and no stats; a panic on any of the
+// search's goroutines comes back as a *PanicError the same way.
+func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options, mode searchMode, sh *shardRun) (best *Candidate, all []scored, stats *Stats, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -176,16 +205,15 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 	e := &engine{ctx: ctx, l: l, a: a, o: o, mode: mode, shard: sh}
 	e.prune = mode == modeBest && !o.NoPrune && o.Objective != MinEnergy && o.BWAware
 	e.genPrune = mode == modeBest && o.Objective == MinLatency
-	e.guided = e.prune && o.Objective == MinLatency && !o.NoSurrogate
 	e.collectSeqs = sh != nil && !o.NoReduce
 	e.bestBits.Store(math.Float64bits(math.Inf(1)))
-	stats := &Stats{}
-	if o.Hooks != nil {
-		e.hooks = o.Hooks
-		e.start = time.Now()
-		e.obsBestBits.Store(math.Float64bits(math.Inf(1)))
-		defer func(t0 time.Time) { e.hooks.EmitPhase("search", time.Since(t0)) }(e.start)
-	}
+	defer func() {
+		// Every lane has joined by the time runSearch returns.
+		if e.seen != nil {
+			clear(e.seen)
+			seenPool.Put(e.seen)
+		}
+	}()
 
 	// Decide the worker count. Forced counts (Workers >= 1) bypass the
 	// shared budget; the default draws from it so that nested parallelism
@@ -203,96 +231,62 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 			par.Release()
 		}
 	}()
-	e.nworkers = workers
+	// Telemetry callbacks run on this goroutine too (the final snapshot and
+	// the phase timings): a panic in one is the search's failure like any
+	// other.
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(r)
+			best, all, stats, err = nil, nil, nil, e.panicErr
+		}
+	}()
+	if o.Hooks != nil {
+		e.hooks = o.Hooks
+		e.start = time.Now()
+		e.obsBestBits.Store(math.Float64bits(math.Inf(1)))
+		defer func(t0 time.Time) { e.hooks.EmitPhase("search", time.Since(t0)) }(e.start)
+	}
+	stats = &Stats{}
 
 	ws := make([]*worker, workers)
 	for i := range ws {
 		ws[i] = newWorker(e)
 	}
-
-	// produce runs the generator and hands each candidate to consume: in the
-	// canonical walk order by default, or — under the guided order — sorted
-	// best-predicted-first with the walk seq and the producer's boundary
-	// assignment carried through (guided.go).
-	produce := func(consume func(j job)) {
-		if e.guided {
-			e.generateGuided(stats, consume)
-		} else {
-			e.generate(stats, func(seq int64, nest loops.Nest) {
-				consume(job{seq: seq, pred: math.NaN(), nest: nest, bstate: boundsUnknown})
-			})
-		}
-	}
-
 	if workers == 1 {
-		// Serial fast path: evaluate on the caller's goroutine, straight off
-		// the producer's shared nest buffer.
-		produce(func(j job) {
-			ws[0].process(j)
-		})
+		// Serial path: walk, canonicalize and evaluate on the caller's
+		// goroutine, straight off the walk's shared nest buffer.
+		e.recoverInto(func() { e.generate(stats, &ws[0].s.canon, ws[0].process) })
 	} else {
-		ch := make(chan *jobBatch, workers)
-		var wg sync.WaitGroup
-		for _, w := range ws[1:] {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				w.drain(ch)
-			}(w)
-		}
-		go func() {
+		p := startLanes(e, ws)
+		p.run(func() {
 			var cur *jobBatch
 			flush := func() {
 				if cur != nil && len(cur.jobs) > 0 {
-					// A slow consumer must not make the generator
-					// uncancelable: if the channel is full when the context
-					// dies, drop the batch and abort instead of parking in
-					// the send. (Background's Done() is nil, so for batch
-					// callers this is exactly the plain send.)
-					select {
-					case ch <- cur:
-					case <-e.ctx.Done():
-						e.aborted.Store(true)
-						batchPool.Put(cur)
-					}
+					p.submit(laneTask{bt: cur})
 				}
 				cur = nil
 			}
-			produce(func(j job) {
+			consume := func(j job) {
 				if cur == nil {
 					cur = batchPool.Get().(*jobBatch)
-					cur.jobs = cur.jobs[:0]
-					cur.slab = cur.slab[:0]
+					cur.reset()
 				}
-				// The canonical generator emits nests from a shared buffer it
-				// overwrites on the next emit, so they are copied into the
-				// batch slab (a slab regrow leaves earlier jobs pointing into
-				// the old array, which stays valid — the slices are
-				// read-only). The guided producer streams from its own
-				// collection slab, immutable once streaming starts, so its
-				// nests — like its bnd slices — cross the channel as-is.
-				if !e.guided {
-					start := len(cur.slab)
-					cur.slab = append(cur.slab, j.nest...)
-					j.nest = loops.Nest(cur.slab[start:len(cur.slab):len(cur.slab)])
-				}
-				cur.jobs = append(cur.jobs, j)
+				cur.add(j)
 				if len(cur.jobs) == batchSize {
 					flush()
 				}
-			})
+			}
+			if o.NoReduce {
+				e.generate(stats, &ws[0].s.canon, consume)
+			} else {
+				e.generatePipelined(stats, p, consume)
+			}
 			flush()
-			close(ch)
-		}()
-		ws[0].drain(ch) // the caller is the first worker
-		wg.Wait()
+		})
 	}
 
 	// Reduce: sum the exact counters, take the (score, seq) minimum.
-	var best *Candidate
 	bestScore, bestSeq := math.Inf(1), int64(math.MaxInt64)
-	var all []scored
-	var preds, exacts []float64
 	for _, w := range ws {
 		stats.Valid += w.valid
 		stats.Pruned += w.pruned
@@ -300,16 +294,10 @@ func runSearch(ctx context.Context, l *workload.Layer, a *arch.Arch, o *Options,
 			best, bestScore, bestSeq = w.best, w.bestScore, w.bestSeq
 		}
 		all = append(all, w.all...)
-		preds = append(preds, w.preds...)
-		exacts = append(exacts, w.exacts...)
 		w.release()
 	}
-	if e.guided {
-		// Guided-order diagnostics: how much of the stream the reordering
-		// let the bound kill, and how faithfully the surrogate tracked the
-		// exact order over the candidates that were fully scored.
-		stats.SurrogatePruned = stats.Pruned
-		stats.SurrogateRankCorr = surrogate.Spearman(preds, exacts)
+	if e.panicErr != nil {
+		return nil, nil, nil, e.panicErr
 	}
 	// A cancellation observed anywhere in the pipeline invalidates the
 	// partial reduction: report the context's verdict, not a half-searched
@@ -389,26 +377,72 @@ func prefixStrides(dimSplits *[loops.NumDims][][]int64, depth int) []int64 {
 	return strides
 }
 
-// generate walks the canonical enumeration and hands each emitted nest to
-// emit, keeping the exact counters. The nest passed to emit is a shared
-// buffer, valid only for the duration of the call. Single-threaded; the
-// emitted seq is the ordering's global walk index — strictly increasing
-// within a run, and equal to the seq the whole-space walk would assign even
-// when e.shard restricts the run to a prefix range (the shard starts its
-// walk counter at ShardSpec.WalkedBefore).
-func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
+// generate runs the walk on the calling goroutine and hands every emitted
+// job to emit, in walk order, keeping the exact counters: with the symmetry
+// reduction one representative per class (canonicalized and interned
+// inline, its bounds carried in the job), under NoReduce every visited
+// ordering. The job's nest and bounds are shared buffers, valid only for the
+// duration of the call.
+func (e *engine) generate(st *Stats, c *canonicalizer, emit func(j job)) {
+	if e.o.NoReduce {
+		e.walk(st, c, func(seq int64, nest loops.Nest) {
+			st.NestsGenerated++
+			emit(job{seq: seq, nest: nest})
+		})
+		return
+	}
+	e.walk(st, c, func(seq int64, nest loops.Nest) {
+		sig, ok := c.appendSignature(c.sig[:0], nest)
+		c.sig = sig
+		j := job{seq: seq, nest: nest, bstate: boundsFailed}
+		if ok {
+			j.bstate, j.bnd = boundsReady, c.m.Bound
+		}
+		e.commit(st, sig, j, emit)
+	})
+}
+
+var seenPool = sync.Pool{New: func() any { return make(map[string]struct{}) }}
+
+// commit interns one canonicalized visit, in walk order: a visit whose
+// signature is already known merges into that class; otherwise it is the
+// class representative — counted, recorded for the shard merge and emitted.
+func (e *engine) commit(st *Stats, sig []byte, j job, emit func(j job)) {
+	if _, dup := e.seen[string(sig)]; dup {
+		st.ClassesMerged++
+		return
+	}
+	if e.seen == nil {
+		e.seen = seenPool.Get().(map[string]struct{})
+	}
+	e.seen[string(sig)] = struct{}{}
+	if e.shard != nil {
+		// A sharded walk records (signature, seq) for every representative
+		// it emits: the intern set is local to this shard, so a class whose
+		// first member lives in an earlier shard is re-emitted here and the
+		// merge reconciles the duplicates by signature (shard.go).
+		e.shard.classes = append(e.shard.classes, ShardClass{Sig: append([]byte(nil), sig...), Seq: j.seq})
+	}
+	st.NestsGenerated++
+	emit(j)
+}
+
+// walk visits the canonical enumeration in order and hands each visited
+// ordering to onVisit, keeping the walk's own exact counters (Skipped,
+// SubtreesPruned). The nest passed to onVisit is a shared buffer, valid only
+// for the duration of the call. Single-threaded; the visit's seq is the
+// ordering's global walk index — strictly increasing within a run, and
+// equal to the seq the whole-space walk would assign even when e.shard
+// restricts the run to a prefix range (the shard starts its walk counter at
+// ShardSpec.WalkedBefore). c scores the probe nests that seed the subtree
+// prune.
+func (e *engine) walk(st *Stats, c *canonicalizer, onVisit func(seq int64, nest loops.Nest)) {
 	o := e.o
 	if e.hooks != nil {
 		defer func(t0 time.Time) { e.hooks.EmitPhase("generate", time.Since(t0)) }(time.Now())
 	}
 
 	extents, dimSplits := walkSpace(e.l, o)
-
-	reduce := !o.NoReduce
-	var canon *canonicalizer
-	if reduce || e.genPrune {
-		canon = newCanonicalizer(e.l, e.a, o.Spatial)
-	}
 
 	// Generator-side branch and bound: score two fixed heuristic members of
 	// the space up front; a split subtree whose smallest achievable
@@ -424,9 +458,9 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 	probeBound := math.Inf(1)
 	boundFloor := 0.0
 	if e.genPrune {
-		boundFloor = canon.boundFloor()
+		boundFloor = c.boundFloor()
 		for _, nest := range probeNests(&extents) {
-			if s, ok := canon.score(nest, o.BWAware); ok && s < probeBound {
+			if s, ok := c.score(nest, o.BWAware); ok && s < probeBound {
 				probeBound = s
 			}
 		}
@@ -486,6 +520,7 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 	if sh != nil {
 		ctl = sh.ctl
 	}
+	var perm permuter
 	var rec func(d int, blocks []loops.Loop, prod float64, base int64)
 	body := func(d int, blocks []loops.Loop, prod float64, base int64) {
 		if d == loops.NumDims {
@@ -605,35 +640,10 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 				if ctl != nil && walked%frontierInterval == 0 {
 					ctl.frontier.Store(int64(walked))
 				}
-				if reduce {
-					if sh == nil {
-						if canon.intern(nest) {
-							st.ClassesMerged++
-							return true
-						}
-					} else {
-						// A sharded walk records (signature, seq) for every
-						// representative it emits: the intern set is local to
-						// this shard, so a class whose first member lives in
-						// an earlier shard is re-emitted here and the merge
-						// reconciles the duplicates by signature (shard.go).
-						sig, dup := canon.internSig(nest)
-						if dup {
-							st.ClassesMerged++
-							return true
-						}
-						sh.classes = append(sh.classes, ShardClass{Sig: append([]byte(nil), sig...), Seq: int64(walked - 1)})
-					}
-				}
-				st.NestsGenerated++
-				emit(int64(walked-1), nest)
+				onVisit(int64(walked-1), nest)
 				return true
 			}
-			if skip > 0 {
-				permuteFrom(blocks, skip, visit)
-			} else {
-				permute(blocks, visit)
-			}
+			perm.run(blocks, skip, visit)
 			if ownsStart && v < n {
 				// Exact cap remainder of a leaf whose first position this
 				// shard owns — added even when a boundary or truncation
@@ -648,12 +658,15 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 			if shardDone {
 				return
 			}
+			// The recursion is depth-first and nothing keeps a multiset past
+			// its leaf, so every level extends the one shared block buffer
+			// in place.
 			next := blocks
 			part := int64(1)
 			for _, f := range s {
 				part *= f
 				if f > 1 {
-					next = append(next[:len(next):len(next)], loops.Loop{Dim: dim, Size: f})
+					next = append(next, loops.Loop{Dim: dim, Size: f})
 				}
 			}
 			cbase := base
@@ -725,7 +738,7 @@ func (e *engine) generate(st *Stats, emit func(seq int64, nest loops.Nest)) {
 		}
 		body(d, blocks, prod, base)
 	}
-	rec(0, nil, 1, 0)
+	rec(0, make([]loops.Loop, 0, 2*loops.NumDims), 1, 0)
 }
 
 // workerScratch is the heavy, search-independent part of a worker's state:
@@ -740,16 +753,16 @@ type workerScratch struct {
 	store     [loops.NumOperands][]int
 	ev        core.Evaluator
 	pr        energy.Pricer // energy and EDP objectives
+	canon     canonicalizer // this lane's canonicalizer (walk or pipeline lane)
 
 	// Batched-scoring slabs (structure of arrays over one jobBatch): each
 	// slot owns a Mapping with its own boundary storage so the surviving
 	// nests of a batch can be validated first and then scored in one
 	// core.Evaluator.ScoreBatch pass over the shared memo layers.
-	slots  [batchSize]batchSlot
-	probs  []*core.Problem
-	seqs   []int64
-	bpreds []float64
-	outs   []float64
+	slots [batchSize]batchSlot
+	probs []*core.Problem
+	seqs  []int64
+	outs  []float64
 }
 
 // batchSlot is one lane of the batched-scoring slab.
@@ -780,12 +793,6 @@ type worker struct {
 
 	all []scored // modeAll only
 
-	// Guided-order diagnostics: (prediction, exact score) of every fully
-	// evaluated candidate, merged by the reducer into the Spearman rank
-	// correlation. Only populated while the guided order is active.
-	preds  []float64
-	exacts []float64
-
 	// vseqs records the walk seq of every candidate counted in valid, for
 	// the shard epilogue's class-validity tagging (engine.collectSeqs only).
 	vseqs []int64
@@ -801,6 +808,7 @@ func newWorker(e *engine) *worker {
 	}
 	w.m.Spatial = e.o.Spatial
 	w.prob = core.Problem{Layer: e.l, Arch: e.a, Mapping: &w.m}
+	w.s.canon.bind(e.l, e.a, e.o.Spatial)
 	for i := range w.s.slots {
 		// The scratch is pooled across searches: force every batch slot to
 		// re-bind to THIS search's layer/arch/spatial on first use.
@@ -816,43 +824,60 @@ func (w *worker) release() {
 	w.s = nil
 }
 
-// jobBatch is a recyclable slab of jobs: the nests of all jobs in a batch
-// are carved out of one shared loop slab, and the whole batch goes back to
-// batchPool once a worker has drained it (safe: evaluate clones any nest it
+// jobBatch is a recyclable slab of jobs: the nests and bounds of all jobs
+// in a batch are carved out of shared slabs, and the whole batch goes back
+// to batchPool once a lane has scored it (safe: evaluate clones any nest it
 // materializes, nothing else retains the slices).
 type jobBatch struct {
-	jobs []job
-	slab []loops.Loop
+	jobs  []job
+	slab  []loops.Loop
+	bslab []int
 }
 
 var batchPool = sync.Pool{New: func() any { return new(jobBatch) }}
 
-func (w *worker) drain(ch <-chan *jobBatch) {
+func (bt *jobBatch) reset() {
+	bt.jobs, bt.slab, bt.bslab = bt.jobs[:0], bt.slab[:0], bt.bslab[:0]
+}
+
+// add appends j, copying its nest and bounds into the batch's slabs (the
+// producer's buffers are reused on its next emit). A slab regrow leaves
+// earlier jobs pointing into the old array, which stays valid — the slices
+// are read-only.
+func (bt *jobBatch) add(j job) {
+	start := len(bt.slab)
+	bt.slab = append(bt.slab, j.nest...)
+	j.nest = loops.Nest(bt.slab[start:len(bt.slab):len(bt.slab)])
+	if j.bstate == boundsReady {
+		for op := range j.bnd {
+			start := len(bt.bslab)
+			bt.bslab = append(bt.bslab, j.bnd[op]...)
+			j.bnd[op] = bt.bslab[start:len(bt.bslab):len(bt.bslab)]
+		}
+	}
+	bt.jobs = append(bt.jobs, j)
+}
+
+// score evaluates one batch of jobs. After an abort it stops scoring —
+// checked per job, and against the context directly, so that a
+// cancellation arriving mid-batch (or after the walk already finished and
+// can no longer raise the flag) skips the remaining evaluations instead of
+// grinding out the queue.
+func (w *worker) score(bt *jobBatch) {
 	e := w.e
-	batched := e.mode == modeBest && e.o.Objective == MinLatency && e.o.BWAware
-	for bt := range ch {
-		// After an abort, keep receiving (the generator may have batches in
-		// flight and must never block on a full channel) but stop scoring —
-		// checked per job, and against the context directly, so that a
-		// cancellation arriving mid-batch (or after the generator already
-		// finished and can no longer raise the flag) skips the remaining
-		// evaluations instead of grinding out the queue.
-		if batched {
-			w.processBatch(bt)
-			batchPool.Put(bt)
-			continue
+	if e.mode == modeBest && e.o.Objective == MinLatency && e.o.BWAware {
+		w.processBatch(bt)
+		return
+	}
+	for _, j := range bt.jobs {
+		if e.aborted.Load() {
+			return
 		}
-		for _, j := range bt.jobs {
-			if e.aborted.Load() {
-				break
-			}
-			if e.ctx.Err() != nil {
-				e.aborted.Store(true)
-				break
-			}
-			w.process(j)
+		if e.ctx.Err() != nil {
+			e.aborted.Store(true)
+			return
 		}
-		batchPool.Put(bt)
+		w.process(j)
 	}
 }
 
@@ -871,7 +896,6 @@ func (w *worker) processBatch(bt *jobBatch) {
 	s := w.s
 	s.probs = s.probs[:0]
 	s.seqs = s.seqs[:0]
-	s.bpreds = s.bpreds[:0]
 	for i := range bt.jobs {
 		j := &bt.jobs[i]
 		if e.aborted.Load() {
@@ -918,7 +942,6 @@ func (w *worker) processBatch(bt *jobBatch) {
 		}
 		s.probs = append(s.probs, &slot.prob)
 		s.seqs = append(s.seqs, j.seq)
-		s.bpreds = append(s.bpreds, j.pred)
 	}
 	if len(s.probs) == 0 {
 		return
@@ -933,10 +956,6 @@ func (w *worker) processBatch(bt *jobBatch) {
 	for i, score := range outs {
 		if math.IsNaN(score) {
 			continue
-		}
-		if e.guided && !math.IsNaN(s.bpreds[i]) {
-			w.preds = append(w.preds, s.bpreds[i])
-			w.exacts = append(w.exacts, score)
 		}
 		seq := s.seqs[i]
 		if w.better(score, seq) {
@@ -959,7 +978,7 @@ func (w *worker) processBatch(bt *jobBatch) {
 func (w *worker) process(j job) {
 	e := w.e
 	o := e.o
-	seq, pred, nest := j.seq, j.pred, j.nest
+	seq, nest := j.seq, j.nest
 	w.m.Temporal = nest
 	switch j.bstate {
 	case boundsFailed:
@@ -1024,10 +1043,6 @@ func (w *worker) process(j job) {
 			return
 		}
 		score = s
-		if e.guided && !math.IsNaN(pred) {
-			w.preds = append(w.preds, pred)
-			w.exacts = append(w.exacts, score)
-		}
 	} else {
 		// The baseline model's CC_total IS the lower bound expression.
 		score = w.s.ev.LowerBound(&w.prob)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/loops"
 	"repro/internal/workload"
 )
 
@@ -41,7 +40,7 @@ func BenchmarkGenerateOnly(b *testing.B) {
 				e.bestBits.Store(math.Float64bits(math.Inf(1)))
 				var st Stats
 				emitted = 0
-				e.generate(&st, func(int64, loops.Nest) { emitted++ })
+				e.generate(&st, newCanonicalizer(&layer, hw, on.Spatial), func(job) { emitted++ })
 			}
 			b.ReportMetric(float64(emitted), "nests-emitted")
 		})

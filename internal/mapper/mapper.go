@@ -80,17 +80,6 @@ type Options struct {
 	// for cross-checking and measurement (-nosym in the cmds). The
 	// Stats counters change meaning with it — see Stats.
 	NoReduce bool
-	// NoSurrogate disables the surrogate-guided candidate ordering
-	// (DESIGN.md §12): the evaluation stream reaches the workers in the
-	// canonical walk order instead of best-predicted-first. The selected
-	// mapping and every exact Stats counter are bit-identical either way —
-	// the surrogate only ORDERS work, the exact model still scores every
-	// surviving candidate, and the walk sequence number carried through the
-	// reordered stream preserves the deterministic tie-break — so like
-	// Workers/NoPrune/NoReduce the knob is excluded from memo keys and
-	// exists for measurement (-nosurrogate in the cmds). Only the
-	// trajectory-dependent counters (Pruned, Surrogate*) move with it.
-	NoSurrogate bool
 	// Hooks receives search telemetry (phase timings, periodic progress
 	// snapshots, best-score improvements). Nil — the default — disables
 	// telemetry at the cost of one pointer check per event site; with
@@ -161,23 +150,6 @@ type Stats struct {
 	// LB for the latency objective, E·LB for EDP (informational;
 	// trajectory-dependent).
 	Pruned int
-	// SurrogateReorders counts candidates the surrogate-guided order moved
-	// away from their canonical walk position (0 when the guided order is
-	// inactive: NoSurrogate, enumeration, energy objectives, NoPrune or the
-	// baseline model). Deterministic: the prediction is a pure function of
-	// the candidate.
-	SurrogateReorders int
-	// SurrogatePruned counts full evaluations the workers' lower bound
-	// skipped while the guided order was active — the "pruned before eval"
-	// share the reordering bought (informational; trajectory-dependent,
-	// like Pruned).
-	SurrogatePruned int
-	// SurrogateRankCorr is the Spearman rank correlation between the
-	// surrogate's predictions and the exact scores over the fully evaluated
-	// candidates — how well the learned order tracked the true one (0 when
-	// guided order is inactive or fewer than two candidates were scored;
-	// informational; trajectory-dependent).
-	SurrogateRankCorr float64
 }
 
 // Best searches the space and returns the best candidate by the objective,
@@ -344,13 +316,25 @@ func assignBoundsIn(m *mapping.Mapping, l *workload.Layer, chains *[loops.NumOpe
 
 // tileElems is the element count of op's tile spanning the temporal
 // per-dimension products tp times the spatial ones sp — Mapping.MemData with
-// the temporal product supplied instead of recomputed.
+// the temporal product supplied instead of recomputed. It is
+// loops.TileElems(op, tp·sp, st) evaluated on the operand's own dimensions
+// only; integer products commute mod 2^64, so the result is bit-identical.
 func tileElems(op loops.Operand, tp, sp *[loops.NumDims]int64, st loops.Strides) int64 {
-	var dims [loops.NumDims]int64
-	for i := range dims {
-		dims[i] = tp[i] * sp[i]
+	d := func(i loops.Dim) int64 {
+		if v := tp[i] * sp[i]; v >= 1 {
+			return v
+		}
+		return 1
 	}
-	return loops.TileElems(op, dims, st)
+	switch op {
+	case loops.W:
+		return d(loops.K) * d(loops.C) * d(loops.FY) * d(loops.FX)
+	case loops.O:
+		return d(loops.B) * d(loops.K) * d(loops.OY) * d(loops.OX)
+	}
+	return d(loops.B) * d(loops.C) *
+		loops.InputExtent(d(loops.OY), d(loops.FY), st.SY, st.DY) *
+		loops.InputExtent(d(loops.OX), d(loops.FX), st.SX, st.DX)
 }
 
 // splits returns the ways to factor extent into up to maxParts ordered
@@ -407,38 +391,8 @@ func dedupSplits(in [][]int64) [][]int64 {
 // loops.DistinctOrderings(blocks) distinct sequences, the identity the
 // engine's Skipped accounting rests on.
 func permute(blocks []loops.Loop, visit func(loops.Nest) bool) {
-	n := len(blocks)
-	if n == 0 {
-		visit(nil)
-		return
-	}
-	nest := make(loops.Nest, 0, n)
-	used := make([]bool, n)
-	var rec func() bool
-	rec = func() bool {
-		if len(nest) == n {
-			return visit(nest)
-		}
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			// Skip duplicate blocks at the same position.
-			if i > 0 && !used[i-1] && blocks[i] == blocks[i-1] {
-				continue
-			}
-			used[i] = true
-			nest = append(nest, blocks[i])
-			ok := rec()
-			nest = nest[:len(nest)-1]
-			used[i] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec()
+	var p permuter
+	p.run(blocks, 0, visit)
 }
 
 // permuteFrom visits the distinct orderings of blocks in the same walk order
@@ -450,62 +404,77 @@ func permute(blocks []loops.Loop, visit func(loops.Nest) bool) {
 // mid-multiset costs O(n^2), not O(skip). Nothing is visited when skip is at
 // or past the multiset's last ordering.
 func permuteFrom(blocks []loops.Loop, skip int64, visit func(loops.Nest) bool) {
-	if skip <= 0 {
-		permute(blocks, visit)
-		return
-	}
-	if skip >= loops.DistinctOrderings(blocks) {
-		return
-	}
-	target := loops.UnrankOrdering(blocks, skip)
+	var p permuter
+	p.run(blocks, skip, visit)
+}
+
+// permuter is the state of permute/permuteFrom; the walk keeps one so that
+// its buffers are reused across every multiset it permutes.
+type permuter struct {
+	blocks []loops.Loop
+	target loops.Nest // the ordering at rank skip, while re-entering along it
+	nest   loops.Nest // the ordering being built, one slot per position
+	used   []bool
+	visit  func(loops.Nest) bool
+}
+
+// run visits blocks' distinct orderings from rank skip on (see permuteFrom).
+func (p *permuter) run(blocks []loops.Loop, skip int64, visit func(loops.Nest) bool) {
 	n := len(blocks)
-	nest := make(loops.Nest, 0, n)
-	used := make([]bool, n)
-	var rec func(onPath bool) bool
-	rec = func(onPath bool) bool {
-		if len(nest) == n {
-			return visit(nest)
+	onPath := skip > 0
+	if onPath {
+		if skip >= loops.DistinctOrderings(blocks) {
+			return
 		}
-		start := 0
-		if onPath {
-			// Re-enter along the target ordering: take the target's block at
-			// this position first (its first unused index — equal blocks are
-			// interchangeable), staying on-path one level deeper, then fall
-			// through to the choices after it as complete subtrees.
-			ti := -1
-			for i := 0; i < n; i++ {
-				if !used[i] && blocks[i] == target[len(nest)] {
-					ti = i
-					break
-				}
-			}
-			used[ti] = true
-			nest = append(nest, blocks[ti])
-			ok := rec(true)
-			nest = nest[:len(nest)-1]
-			used[ti] = false
-			if !ok {
-				return false
-			}
-			start = ti + 1
-		}
-		for i := start; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			if i > 0 && !used[i-1] && blocks[i] == blocks[i-1] {
-				continue
-			}
-			used[i] = true
-			nest = append(nest, blocks[i])
-			ok := rec(false)
-			nest = nest[:len(nest)-1]
-			used[i] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
+		p.target = loops.UnrankOrdering(blocks, skip)
 	}
-	rec(true)
+	if n == 0 {
+		visit(nil)
+		return
+	}
+	if cap(p.used) < n {
+		p.used = make([]bool, n)
+		p.nest = make(loops.Nest, n)
+	}
+	p.used, p.nest = p.used[:n], p.nest[:n]
+	clear(p.used)
+	p.blocks, p.visit = blocks, visit
+	p.rec(0, onPath)
+	p.blocks, p.visit = nil, nil
+}
+
+// rec fills position depth. onPath: the prefix so far is the target's, so
+// the target's block is taken first (its first unused index — equal blocks
+// are interchangeable), staying on-path one level deeper, and the choices
+// after it follow as complete subtrees.
+func (p *permuter) rec(depth int, onPath bool) bool {
+	blocks, used := p.blocks, p.used
+	n := len(blocks)
+	if depth == n {
+		return p.visit(p.nest)
+	}
+	start := 0
+	if onPath {
+		for used[start] || blocks[start] != p.target[depth] {
+			start++
+		}
+	}
+	for i := start; i < n; i++ {
+		if used[i] {
+			continue
+		}
+		// Skip duplicate blocks at the same position (the on-path block is
+		// the first unused of its kind, so it never skips).
+		if i > 0 && !used[i-1] && blocks[i] == blocks[i-1] {
+			continue
+		}
+		used[i] = true
+		p.nest[depth] = blocks[i]
+		ok := p.rec(depth+1, onPath && i == start)
+		used[i] = false
+		if !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -9,15 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-// normalizeStats zeroes the trajectory-dependent diagnostics. Pruned and the
-// surrogate counters depend on which candidates each worker/shard happened to
-// evaluate first (documented in Stats); only the exact counters are part of
-// the sharding determinism contract.
+// normalizeStats zeroes the trajectory-dependent Pruned counter: it depends
+// on which candidates each worker/shard happened to evaluate first
+// (documented in Stats); only the exact counters are part of the sharding
+// determinism contract.
 func normalizeStats(st Stats) Stats {
 	st.Pruned = 0
-	st.SurrogatePruned = 0
-	st.SurrogateReorders = 0
-	st.SurrogateRankCorr = 0
 	return st
 }
 

@@ -45,7 +45,7 @@ type Counters struct {
 	diskHits  atomic.Int64 // misses served from the on-disk store (subset of misses)
 	bypass    atomic.Int64 // calls while the cache was disabled
 	canceled  atomic.Int64 // lookups abandoned because the caller's context fired
-	transient atomic.Int64 // computations evicted instead of cached (context errors)
+	transient atomic.Int64 // computations evicted instead of cached (transient errors)
 }
 
 // Hits returns completed lookups served from memory.
@@ -175,10 +175,11 @@ func (c *Cache) Len() int {
 // result. Deterministic errors are cached too — a failed search would fail
 // identically on retry.
 //
-// Context errors are the exception: a computation that returns the leader's
-// context.Canceled or DeadlineExceeded says nothing about the key, only
-// about that caller's patience, so the entry is evicted instead of cached
-// and the partial outcome never becomes visible. Waiters whose own context
+// Transient errors are the exception: a computation that returns the
+// leader's context.Canceled or DeadlineExceeded says nothing about the key,
+// only about that caller's patience — nor does an error that marks itself
+// Transient (isTransient) — so the entry is evicted instead of cached and
+// the partial outcome never becomes visible. Waiters whose own context
 // is still live transparently retry (one of them becomes the new leader);
 // a waiter whose context fires while blocked abandons the wait with its own
 // ctx.Err() and leaves the in-flight computation undisturbed — the leader
@@ -228,7 +229,7 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func(ctx context.Context)
 		func() {
 			defer close(e.done) // even on a compute panic, never strand waiters
 			e.val, e.err = compute(ctx)
-			if isContextErr(e.err) {
+			if isTransient(e.err) {
 				e.transient = true
 				e.val = nil
 				c.counters.transient.Add(1)
@@ -243,46 +244,17 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func(ctx context.Context)
 	}
 }
 
-// Range calls fn for every COMPLETED, non-error entry resident in the cache
-// and stops early when fn returns false. In-flight computations are skipped,
-// never waited on — Range holds no lock while fn runs, so fn may itself use
-// the cache. The iteration order is unspecified, and entries inserted or
-// evicted concurrently may or may not be observed (the usual weakly
-// consistent map-iteration contract). Values passed to fn are the shared
-// cached values: fn must treat them as immutable.
-//
-// This is the harvesting hook for consumers that learn from the cache's
-// accumulated results — e.g. mapper.HarvestSamples, which turns memoized
-// exact search results into surrogate-model training samples.
-func (c *Cache) Range(fn func(val any) bool) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		entries := make([]*entry, 0, len(s.m))
-		for _, e := range s.m {
-			entries = append(entries, e)
-		}
-		s.mu.Unlock()
-		for _, e := range entries {
-			select {
-			case <-e.done:
-			default:
-				continue // in flight: no value yet
-			}
-			if e.err != nil || e.transient {
-				continue
-			}
-			if !fn(e.val) {
-				return
-			}
-		}
+// isTransient reports whether err says nothing about the key and so must
+// not be cached: a cancellation or deadline, or an error that marks itself
+// transient (a Transient() bool method returning true — e.g. a search
+// goroutine's recovered panic, which may come from a caller-specific hook).
+func isTransient(err error) bool {
+	if err == nil {
+		return false
 	}
-}
-
-// isContextErr reports whether err is a cancellation/deadline outcome that
-// must not be cached.
-func isContextErr(err error) bool {
-	return err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+	var t interface{ Transient() bool }
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		(errors.As(err, &t) && t.Transient())
 }
 
 // Get returns the cached value for k if a COMPLETED entry exists. It never

@@ -10,6 +10,7 @@ package periodic
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Window is a finite periodic activity pattern: Count periods of length
@@ -97,15 +98,13 @@ func gcd(a, b int64) int64 {
 }
 
 // hyperperiod returns the least common multiple of the runs' periods,
-// saturating at limit (returns limit+1 when exceeded).
+// saturating at limit (returns limit+1 when exceeded). Each step is the
+// overflow-safe lcmCapped, so a wrapped int64 can never pass for a
+// hyperperiod.
 func hyperperiod(runs []mergeRun, limit int64) int64 {
 	h := int64(1)
 	for _, r := range runs {
-		g := gcd(h, r.period)
-		h = h / g * r.period
-		if h > limit || h <= 0 {
-			return limit + 1
-		}
+		h = lcmCapped(h, r.period, limit)
 	}
 	return h
 }
@@ -281,16 +280,17 @@ func segmentedLength(runs []mergeRun, sweepCost int64) (length int64, ok bool) {
 }
 
 // lcmCapped returns lcm(h, p), or limit+1 once it exceeds limit (h is
-// already limit+1 or at most limit). Overflow-safe.
+// already limit+1 or at most limit; h, p >= 1). Overflow-safe: the product
+// is formed in 128 bits.
 func lcmCapped(h, p, limit int64) int64 {
 	if h > limit {
 		return h
 	}
-	x := h / gcd(h, p)
-	if x > limit/p {
+	hi, lo := bits.Mul64(uint64(h/gcd(h, p)), uint64(p))
+	if hi != 0 || lo > uint64(limit) {
 		return limit + 1
 	}
-	return x * p
+	return int64(lo)
 }
 
 // sweptIntervals is how many intervals prefixLength(runs, limit) visits.

@@ -42,11 +42,7 @@ func sweepUnion(ws []Window) (int64, bool) {
 	}
 	h := int64(1)
 	for _, w := range live {
-		h = h / gcd(h, w.Period) * w.Period
-		if h > span || h <= 0 {
-			h = span + 1
-			break
-		}
+		h = lcmCapped(h, w.Period, span)
 	}
 	if h > span {
 		h = span
@@ -210,3 +206,53 @@ func BenchmarkUnionMixedSpans(b *testing.B) {
 }
 
 var unionSink int64
+
+// TestHyperperiodOverflow pins the hyperperiod of two periods whose lcm
+// (~1.8e19) overflows int64: the unchecked step h/g*P wrapped to 2^34+3,
+// a positive value below a 1.8e10 limit, and was returned as if it were the
+// hyperperiod. It must saturate. In Union that value only feeds the
+// exact-or-fallback decision: for the window pair below the saturated
+// hyperperiod makes the periodic sweep cost more than maxUnionIntervals, so
+// the rule falls back to the conservative longest-window bound, where the
+// wrapped value let the exact segmented path run instead.
+func TestHyperperiodOverflow(t *testing.T) {
+	p1, p2 := int64(1)<<32+1, int64(1)<<32+3
+	const limit = 18_000_000_000
+	runs := []mergeRun{{period: p1}, {period: p2}}
+	if h := hyperperiod(runs, limit); h != limit+1 {
+		t.Fatalf("hyperperiod(%d, %d) under %d = %d, want saturation at %d", p1, p2, int64(limit), h, int64(limit)+1)
+	}
+	for _, tc := range []struct{ periods []int64 }{{[]int64{4, 6}}, {[]int64{7, 11, 13}}, {[]int64{1 << 20, 3 << 18}}} {
+		var rs []mergeRun
+		want := int64(1)
+		for _, p := range tc.periods {
+			rs = append(rs, mergeRun{period: p})
+			want = want / gcd(want, p) * p
+		}
+		if h := hyperperiod(rs, limit); h != want {
+			t.Errorf("hyperperiod(%v) = %d, want %d", tc.periods, h, want)
+		}
+	}
+
+	// The long window spans ~6.4e15 cycles; the short one only five periods.
+	const c1 = 1_500_000
+	ws := []Window{Tail(p1, 1000, c1), Tail(p2, 1000, 5)}
+	gotN, gotExact := Union(ws)
+	wantN, wantExact := sweepUnion(ws)
+	if gotN != wantN || gotExact != wantExact {
+		t.Fatalf("Union = (%d, %v), sweep = (%d, %v)", gotN, gotExact, wantN, wantExact)
+	}
+	if gotExact || gotN != 1000*c1 {
+		t.Fatalf("Union = (%d, %v), want the fallback bound (%d, false)", gotN, gotExact, 1000*c1)
+	}
+	// The true union: the two tails overlap in all but 2(k+1) cycles of
+	// period k < 5; the fallback may only undercount it.
+	if exact := int64(1000*c1 + 2*(1+2+3+4+5)); gotN > exact {
+		t.Fatalf("fallback %d exceeds the true union %d", gotN, exact)
+	}
+	// A scaled-down copy of the shape stays exact and matches the bitmap.
+	small := []Window{Tail(101, 10, 50), Tail(103, 10, 5)}
+	if n, exact := Union(small); !exact || n != bruteUnion(small) {
+		t.Fatalf("scaled shape: Union = (%d, %v), brute = %d", n, exact, bruteUnion(small))
+	}
+}

@@ -6,6 +6,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/mapper"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestHandlerPanicReleasesSlot: with a single admission slot and no queue, a
@@ -52,5 +57,42 @@ func TestHandlerPanicReleasesSlot(t *testing.T) {
 	_, fdata := get(t, ts, "/v1/debug/requests")
 	if !strings.Contains(string(fdata), body.TraceID) {
 		t.Errorf("flight recorder has no entry with trace id %s:\n%s", body.TraceID, fdata)
+	}
+}
+
+// TestSearchPanicAnswers500: a panic inside a mapper search — here a
+// telemetry callback that panics on one of the search's scoring lanes, a
+// goroutine the handler cannot recover — fails that request with 500 and
+// releases its admission slot, and the server keeps answering.
+func TestSearchPanicAnswers500(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, MaxQueue: -1, Logger: discardLogger()})
+	s.mux.Handle("POST /v1/test/searchpanic", s.instrument("search", true, func(w http.ResponseWriter, r *http.Request) {
+		l := workload.NewMatMul("p", 32, 64, 64)
+		_, _, err := mapper.Best(r.Context(), &l, arch.CaseStudy(), &mapper.Options{
+			Spatial: arch.CaseStudySpatial(), BWAware: true, Workers: 4,
+			Hooks: &obs.SearchHooks{ImprovedBest: func(float64, int64) { panic("boom") }},
+		})
+		if err == nil {
+			t.Error("search with a panicking hook succeeded")
+			return
+		}
+		writeError(w, s.errorStatus(r, err), err.Error())
+	}))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, data := post(t, ts, "/v1/test/searchpanic", "{}")
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "panicked") {
+		t.Fatalf("search panic = %d %s, want 500 naming the panic", resp.StatusCode, data)
+	}
+	if n := s.adm.inUse(); n != 0 {
+		t.Fatalf("admission slots in use after the panic = %d, want 0", n)
+	}
+	resp, data = post(t, ts, "/v1/search", smallSearch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search after a search panic = %d, want 200 (%s)", resp.StatusCode, data)
+	}
+	if _, mdata := get(t, ts, "/metrics"); !strings.Contains(string(mdata), "servemodel_panics_total 1") {
+		t.Error("metrics do not count the search panic")
 	}
 }

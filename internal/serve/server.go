@@ -409,12 +409,23 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 	return ctx, func() { stop(); cancel() }
 }
 
-// errorStatus maps a failed search to an HTTP status: the request deadline
-// expiring is 504, a shutdown force-cancel is 503, a vanished client is the
-// unsendable 499 (metrics/logs only), and anything else — a well-formed
-// request whose search legitimately found nothing — is 422.
+// errorStatus maps a failed search to an HTTP status: a panic recovered
+// inside the search is 500 (counted in servemodel_panics_total and logged
+// with its stack, like a handler panic), the request deadline expiring is
+// 504, a shutdown force-cancel is 503, a vanished client is the unsendable
+// 499 (metrics/logs only), and anything else — a well-formed request whose
+// search legitimately found nothing — is 422.
 func (s *Server) errorStatus(r *http.Request, err error) int {
+	var pe *mapper.PanicError
 	switch {
+	case errors.As(err, &pe):
+		s.met.panics.Add(1)
+		s.log.LogAttrs(r.Context(), slog.LevelError, "search panic",
+			slog.Any("panic", pe.Value),
+			slog.String("trace_id", otrace.IDString(r.Context())),
+			slog.String("stack", string(pe.Stack)),
+		)
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case s.base.Err() != nil:
